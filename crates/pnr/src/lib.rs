@@ -6,7 +6,8 @@
 //!
 //! - **Placement**: constructive clustered seeding followed by simulated
 //!   annealing on half-perimeter wirelength (HPWL), deterministic under a
-//!   seed;
+//!   seed; each move is priced from cached per-net bounding boxes with
+//!   edge pin counts;
 //! - **Routing estimate**: per-net wire capacitance from HPWL with a
 //!   fanout correction;
 //! - **CTS**: a *virtual* clock-tree synthesis per clock net (root phases
@@ -196,135 +197,21 @@ pub fn place_and_route(nl: &Netlist, lib: &Library, opts: &PnrOptions) -> Result
     // Die sizing from total area at the utilization target.
     let total_area: f64 = nl.cell_area(lib);
     let side = (total_area / opts.utilization).sqrt().max(1.0);
-    let n = cells.len();
-    let cols = (n as f64).sqrt().ceil() as usize;
-    let rows = n.div_ceil(cols);
-    let pitch_x = side / cols as f64;
-    let pitch_y = side / rows as f64;
-    let pos_of_slot = move |s: usize| -> (f64, f64) {
-        let r = s / cols;
-        let c = s % cols;
-        ((c as f64 + 0.5) * pitch_x, (r as f64 + 0.5) * pitch_y)
-    };
-
-    // Constructive seeding: registers sharing a clock (gated) net are
-    // placed contiguously (register banks cluster, keeping each clock
-    // subtree compact, as row placers do), then BFS over connectivity
-    // pulls the combinational fabric next to its consumers.
-    let order = seed_order(nl, &idx, &cells);
-
-    // Port positions around the perimeter.
-    let nports = nl.ports().len().max(1);
-    let port_pos: Vec<(f64, f64)> = (0..nports)
-        .map(|i| {
-            let t = i as f64 / nports as f64 * 4.0;
-            match t as usize {
-                0 => (side * t.fract(), 0.0),
-                1 => (side, side * t.fract()),
-                2 => (side * (1.0 - t.fract()), side),
-                _ => (0.0, side * (1.0 - t.fract())),
-            }
-        })
-        .collect();
-
-    // Net membership for incremental HPWL.
-    let mut net_cells: Vec<Vec<CellId>> = vec![Vec::new(); nl.net_capacity()];
-    let mut net_ports: Vec<Vec<usize>> = vec![Vec::new(); nl.net_capacity()];
-    let mut cell_nets: HashMap<CellId, Vec<NetId>> = HashMap::new();
-    for &c in &cells {
-        let cell = nl.cell(c);
-        let mut mine = Vec::with_capacity(cell.pins().len());
-        for &net in cell.pins() {
-            if !mine.contains(&net) {
-                mine.push(net);
-                net_cells[net.index()].push(c);
-            }
-        }
-        cell_nets.insert(c, mine);
-    }
-    for (i, port) in nl.ports().iter().enumerate() {
-        net_ports[port.net.index()].push(i);
-    }
-
-    let hpwl_net = |net: NetId, pos: &[Option<(f64, f64)>]| -> f64 {
-        let mut lo = (f64::INFINITY, f64::INFINITY);
-        let mut hi = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        let mut any = false;
-        for &c in &net_cells[net.index()] {
-            if let Some((x, y)) = pos[c.index()] {
-                lo = (lo.0.min(x), lo.1.min(y));
-                hi = (hi.0.max(x), hi.1.max(y));
-                any = true;
-            }
-        }
-        for &p in &net_ports[net.index()] {
-            let (x, y) = port_pos[p];
-            lo = (lo.0.min(x), lo.1.min(y));
-            hi = (hi.0.max(x), hi.1.max(y));
-            any = true;
-        }
-        if !any {
-            0.0
-        } else {
-            (hi.0 - lo.0) + (hi.1 - lo.1)
-        }
-    };
+    let mut placer = Placer::new(nl, &idx, &cells, side);
 
     // Simulated annealing with pairwise slot swaps.
-    let mut pos: Vec<Option<(f64, f64)>> = vec![None; nl.cell_capacity()];
-    let mut cell_at: Vec<Option<CellId>> = vec![None; cols * rows];
-    for (s, &c) in order.iter().enumerate() {
-        pos[c.index()] = Some(pos_of_slot(s));
-        cell_at[s] = Some(c);
-    }
     let mut rng = Rng::new(opts.seed);
-    let budget = (opts.moves_per_cell * n).min(3_000_000);
-    let mut temp = (pitch_x + pitch_y) * 4.0;
+    let budget = (opts.moves_per_cell * cells.len()).min(3_000_000);
+    let mut temp = (placer.pitch.0 + placer.pitch.1) * 4.0;
     let cooling = if budget > 0 {
         (0.005f64).powf(1.0 / budget as f64)
     } else {
         1.0
     };
-    let cost_of = |a: CellId, b: Option<CellId>, pos: &[Option<(f64, f64)>]| -> f64 {
-        let mut cost = 0.0;
-        let nets_a = &cell_nets[&a];
-        for &net in nets_a {
-            cost += hpwl_net(net, pos);
-        }
-        if let Some(b) = b {
-            for &net in &cell_nets[&b] {
-                if !nets_a.contains(&net) {
-                    cost += hpwl_net(net, pos);
-                }
-            }
-        }
-        cost
-    };
     for _ in 0..budget {
-        let a_slot = rng.below(cols * rows);
-        let b_slot = rng.below(cols * rows);
-        if a_slot == b_slot {
-            continue;
+        if placer.step(&mut rng, temp) {
+            temp *= cooling;
         }
-        let (Some(a), b) = (cell_at[a_slot], cell_at[b_slot]) else {
-            continue;
-        };
-        let before = cost_of(a, b, &pos);
-        pos[a.index()] = Some(pos_of_slot(b_slot));
-        if let Some(b) = b {
-            pos[b.index()] = Some(pos_of_slot(a_slot));
-        }
-        let after = cost_of(a, b, &pos);
-        let delta = after - before;
-        if delta <= 0.0 || rng.unit() < (-delta / temp.max(1e-9)).exp() {
-            cell_at.swap(a_slot, b_slot);
-        } else {
-            pos[a.index()] = Some(pos_of_slot(a_slot));
-            if let Some(b) = b {
-                pos[b.index()] = Some(pos_of_slot(b_slot));
-            }
-        }
-        temp *= cooling;
     }
     let place_seconds = t0.elapsed().as_secs_f64();
 
@@ -334,7 +221,7 @@ pub fn place_and_route(nl: &Netlist, lib: &Library, opts: &PnrOptions) -> Result
     let mut total_wl = 0.0;
     let mut hpwl_total = 0.0;
     for (net, _) in nl.nets() {
-        let h = hpwl_net(net, &pos);
+        let h = placer.hpwl_net(net);
         hpwl_total += h;
         let fanout = idx.fanout_count(net).max(1);
         // Net topology correction: star-like nets route longer than their
@@ -344,7 +231,7 @@ pub fn place_and_route(nl: &Netlist, lib: &Library, opts: &PnrOptions) -> Result
         net_wire_cap[net.index()] = wl * opts.wire_cap_per_um;
     }
 
-    let clock_trees = synthesize_clock_trees(nl, lib, &pos, opts);
+    let clock_trees = synthesize_clock_trees(nl, lib, &placer.pos, opts);
     for t in &clock_trees {
         // Clock nets carry the synthesized tree's wiring instead of the
         // HPWL estimate (sink pin caps are counted by the power model).
@@ -353,7 +240,7 @@ pub fn place_and_route(nl: &Netlist, lib: &Library, opts: &PnrOptions) -> Result
     let route_seconds = t1.elapsed().as_secs_f64();
 
     Ok(Layout {
-        positions: pos,
+        positions: placer.pos,
         die: (side, side),
         net_wire_cap,
         total_wirelength_um: total_wl,
@@ -362,6 +249,300 @@ pub fn place_and_route(nl: &Netlist, lib: &Library, opts: &PnrOptions) -> Result
         place_seconds,
         route_seconds,
     })
+}
+
+/// Bounding box of one net's pins, with the number of pins lying on each
+/// edge so that removing a pin only forces a rescan when it was the last
+/// one on an edge. Min/max are exact, so the box is always the same
+/// `f64`s a from-scratch scan of the same pins produces.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct NetBox {
+    lo: (f64, f64),
+    hi: (f64, f64),
+    /// Pins on the low x and low y edges.
+    on_lo: (u32, u32),
+    /// Pins on the high x and high y edges.
+    on_hi: (u32, u32),
+    /// Live pins (placed cells and ports).
+    pins: u32,
+}
+
+impl NetBox {
+    const EMPTY: NetBox = NetBox {
+        lo: (f64::INFINITY, f64::INFINITY),
+        hi: (f64::NEG_INFINITY, f64::NEG_INFINITY),
+        on_lo: (0, 0),
+        on_hi: (0, 0),
+        pins: 0,
+    };
+
+    /// Half-perimeter wirelength (0 for a net without pins).
+    fn hpwl(&self) -> f64 {
+        if self.pins == 0 {
+            0.0
+        } else {
+            (self.hi.0 - self.lo.0) + (self.hi.1 - self.lo.1)
+        }
+    }
+
+    fn add(&mut self, (x, y): (f64, f64)) {
+        self.pins += 1;
+        widen(x, &mut self.lo.0, &mut self.on_lo.0, |v, edge| v < edge);
+        widen(x, &mut self.hi.0, &mut self.on_hi.0, |v, edge| v > edge);
+        widen(y, &mut self.lo.1, &mut self.on_lo.1, |v, edge| v < edge);
+        widen(y, &mut self.hi.1, &mut self.on_hi.1, |v, edge| v > edge);
+    }
+
+    /// Remove a pin at `(x, y)`. Returns `false` when that empties an
+    /// edge: the box is then stale and must be rescanned.
+    fn remove(&mut self, (x, y): (f64, f64)) -> bool {
+        self.pins -= 1;
+        let mut exact = true;
+        for (v, edge, count) in [
+            (x, self.lo.0, &mut self.on_lo.0),
+            (x, self.hi.0, &mut self.on_hi.0),
+            (y, self.lo.1, &mut self.on_lo.1),
+            (y, self.hi.1, &mut self.on_hi.1),
+        ] {
+            if v == edge {
+                *count -= 1;
+                exact &= *count > 0;
+            }
+        }
+        exact
+    }
+}
+
+/// Extend one edge of a box by a coordinate: `beyond(v, edge)` is true
+/// when `v` lies strictly outside the edge.
+fn widen(v: f64, edge: &mut f64, count: &mut u32, beyond: fn(f64, f64) -> bool) {
+    if beyond(v, *edge) {
+        *edge = v;
+        *count = 1;
+    } else if v == *edge {
+        *count += 1;
+    }
+}
+
+/// Annealing state: the slot grid, cell positions, net membership, and
+/// one cached [`NetBox`] per net. A move prices its touched nets from the
+/// cached boxes, updates copies of them for the swapped pins, and writes
+/// the copies back only when the move is accepted.
+struct Placer {
+    cols: usize,
+    pitch: (f64, f64),
+    /// Position per cell id.
+    pos: Vec<Option<(f64, f64)>>,
+    /// Occupant per slot.
+    cell_at: Vec<Option<CellId>>,
+    port_pos: Vec<(f64, f64)>,
+    net_cells: Vec<Vec<CellId>>,
+    net_ports: Vec<Vec<usize>>,
+    /// Nets of each cell, deduplicated in pin order: cell `c`'s nets are
+    /// `cell_nets[cell_net_start[c]..cell_net_start[c + 1]]`.
+    cell_net_start: Vec<usize>,
+    cell_nets: Vec<NetId>,
+    boxes: Vec<NetBox>,
+    /// Moved boxes of the current move (reused across moves).
+    touched: Vec<(NetId, NetBox)>,
+}
+
+impl Placer {
+    fn new(nl: &Netlist, idx: &ConnIndex, cells: &[CellId], side: f64) -> Placer {
+        let n = cells.len();
+        let cols = (n as f64).sqrt().ceil() as usize;
+        let rows = n.div_ceil(cols);
+
+        // Port positions around the perimeter.
+        let nports = nl.ports().len().max(1);
+        let port_pos: Vec<(f64, f64)> = (0..nports)
+            .map(|i| {
+                let t = i as f64 / nports as f64 * 4.0;
+                match t as usize {
+                    0 => (side * t.fract(), 0.0),
+                    1 => (side, side * t.fract()),
+                    2 => (side * (1.0 - t.fract()), side),
+                    _ => (0.0, side * (1.0 - t.fract())),
+                }
+            })
+            .collect();
+
+        // Net membership, both ways.
+        let mut net_cells: Vec<Vec<CellId>> = vec![Vec::new(); nl.net_capacity()];
+        let mut net_ports: Vec<Vec<usize>> = vec![Vec::new(); nl.net_capacity()];
+        let mut cell_net_start = Vec::with_capacity(nl.cell_capacity() + 1);
+        let mut cell_nets = Vec::new();
+        for &c in cells {
+            // Ids come in ascending order; dead ids get empty ranges.
+            let start = cell_nets.len();
+            cell_net_start.resize(c.index() + 1, start);
+            for &net in nl.cell(c).pins() {
+                if !cell_nets[start..].contains(&net) {
+                    cell_nets.push(net);
+                    net_cells[net.index()].push(c);
+                }
+            }
+        }
+        cell_net_start.resize(nl.cell_capacity() + 1, cell_nets.len());
+        for (i, port) in nl.ports().iter().enumerate() {
+            net_ports[port.net.index()].push(i);
+        }
+
+        let mut placer = Placer {
+            cols,
+            pitch: (side / cols as f64, side / rows as f64),
+            pos: vec![None; nl.cell_capacity()],
+            cell_at: vec![None; cols * rows],
+            port_pos,
+            net_cells,
+            net_ports,
+            cell_net_start,
+            cell_nets,
+            boxes: Vec::new(),
+            touched: Vec::new(),
+        };
+        // Constructive seeding: registers sharing a clock (gated) net are
+        // placed contiguously (register banks cluster, keeping each clock
+        // subtree compact, as row placers do), then BFS over connectivity
+        // pulls the combinational fabric next to its consumers.
+        for (s, c) in seed_order(nl, idx, cells).into_iter().enumerate() {
+            placer.pos[c.index()] = Some(placer.slot_pos(s));
+            placer.cell_at[s] = Some(c);
+        }
+        placer.boxes = (0..nl.net_capacity())
+            .map(|i| placer.scan(NetId::from_index(i)))
+            .collect();
+        placer
+    }
+
+    fn slot_pos(&self, s: usize) -> (f64, f64) {
+        let r = s / self.cols;
+        let c = s % self.cols;
+        (
+            (c as f64 + 0.5) * self.pitch.0,
+            (r as f64 + 0.5) * self.pitch.1,
+        )
+    }
+
+    fn nets_of(&self, c: CellId) -> &[NetId] {
+        &self.cell_nets[self.cell_net_start[c.index()]..self.cell_net_start[c.index() + 1]]
+    }
+
+    /// HPWL of a net from scratch over the current positions.
+    fn hpwl_net(&self, net: NetId) -> f64 {
+        let mut lo = (f64::INFINITY, f64::INFINITY);
+        let mut hi = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        let mut any = false;
+        for &c in &self.net_cells[net.index()] {
+            if let Some((x, y)) = self.pos[c.index()] {
+                lo = (lo.0.min(x), lo.1.min(y));
+                hi = (hi.0.max(x), hi.1.max(y));
+                any = true;
+            }
+        }
+        for &p in &self.net_ports[net.index()] {
+            let (x, y) = self.port_pos[p];
+            lo = (lo.0.min(x), lo.1.min(y));
+            hi = (hi.0.max(x), hi.1.max(y));
+            any = true;
+        }
+        if !any {
+            0.0
+        } else {
+            (hi.0 - lo.0) + (hi.1 - lo.1)
+        }
+    }
+
+    /// A net's box rebuilt from the current positions.
+    fn scan(&self, net: NetId) -> NetBox {
+        let mut bx = NetBox::EMPTY;
+        for &c in &self.net_cells[net.index()] {
+            if let Some(p) = self.pos[c.index()] {
+                bx.add(p);
+            }
+        }
+        for &p in &self.net_ports[net.index()] {
+            bx.add(self.port_pos[p]);
+        }
+        bx
+    }
+
+    /// `bx` with one pin moved from `from` to `to`; rescans the net (whose
+    /// positions must already hold the move) when the pin left an edge
+    /// no other pin holds.
+    fn moved(&self, net: NetId, mut bx: NetBox, from: (f64, f64), to: (f64, f64)) -> NetBox {
+        bx.add(to);
+        if bx.remove(from) {
+            bx
+        } else {
+            self.scan(net)
+        }
+    }
+
+    /// Try one random pairwise slot swap at temperature `temp` and keep
+    /// it by the Metropolis rule. Returns `false` when no move was tried
+    /// (the slots coincide or the first is empty); the schedule does not
+    /// cool on those.
+    fn step(&mut self, rng: &mut Rng, temp: f64) -> bool {
+        let slots = self.cell_at.len();
+        let a_slot = rng.below(slots);
+        let b_slot = rng.below(slots);
+        if a_slot == b_slot {
+            return false;
+        }
+        let (Some(a), b) = (self.cell_at[a_slot], self.cell_at[b_slot]) else {
+            return false;
+        };
+        let (pa, pb) = (self.slot_pos(a_slot), self.slot_pos(b_slot));
+        self.pos[a.index()] = Some(pb);
+        if let Some(b) = b {
+            self.pos[b.index()] = Some(pa);
+        }
+
+        // Cost over a's nets, then b's nets that a lacks, before and
+        // after the swap.
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.clear();
+        let (mut before, mut after) = (0.0, 0.0);
+        let nets_a = self.nets_of(a);
+        let nets_b = b.map_or(&[][..], |b| self.nets_of(b));
+        for &net in nets_a {
+            let bx = self.boxes[net.index()];
+            before += bx.hpwl();
+            if nets_b.contains(&net) {
+                // Swapping two pins of one net keeps its pin set.
+                after += bx.hpwl();
+            } else {
+                let moved = self.moved(net, bx, pa, pb);
+                after += moved.hpwl();
+                touched.push((net, moved));
+            }
+        }
+        for &net in nets_b {
+            if !nets_a.contains(&net) {
+                let bx = self.boxes[net.index()];
+                before += bx.hpwl();
+                let moved = self.moved(net, bx, pb, pa);
+                after += moved.hpwl();
+                touched.push((net, moved));
+            }
+        }
+
+        let delta = after - before;
+        if delta <= 0.0 || rng.unit() < (-delta / temp.max(1e-9)).exp() {
+            self.cell_at.swap(a_slot, b_slot);
+            for &(net, bx) in &touched {
+                self.boxes[net.index()] = bx;
+            }
+        } else {
+            self.pos[a.index()] = Some(pa);
+            if let Some(b) = b {
+                self.pos[b.index()] = Some(pb);
+            }
+        }
+        self.touched = touched;
+        true
+    }
 }
 
 fn seed_order(nl: &Netlist, idx: &ConnIndex, cells: &[CellId]) -> Vec<CellId> {
@@ -610,6 +791,130 @@ mod tests {
         let lib = Library::synthetic_28nm();
         let layout = place_and_route(&nl, &lib, &PnrOptions::default()).unwrap();
         assert_eq!(layout.clock_trees.len(), 2, "root tree + gated subtree");
+    }
+
+    /// FNV-1a hasher for layout fingerprints.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn bytes(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 ^= b as u64;
+                self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        fn f64(&mut self, v: f64) {
+            self.bytes(&v.to_bits().to_le_bytes());
+        }
+        fn usize(&mut self, v: usize) {
+            self.bytes(&(v as u64).to_le_bytes());
+        }
+    }
+
+    /// Fingerprint of every deterministic output of a layout: positions,
+    /// HPWL, wirelength, per-net wire caps and the clock-tree reports.
+    fn fingerprint(l: &Layout) -> u64 {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        for p in &l.positions {
+            match p {
+                Some((x, y)) => {
+                    h.f64(*x);
+                    h.f64(*y);
+                }
+                None => h.bytes(&[0xff]),
+            }
+        }
+        h.f64(l.hpwl_um);
+        h.f64(l.total_wirelength_um);
+        for &c in &l.net_wire_cap {
+            h.f64(c);
+        }
+        for t in &l.clock_trees {
+            h.bytes(t.root_net.as_bytes());
+            h.usize(t.net.index());
+            h.usize(t.sinks);
+            h.usize(t.buffers);
+            h.f64(t.wirelength_um);
+            h.f64(t.total_cap_ff);
+            h.f64(t.buffer_area);
+        }
+        h.0
+    }
+
+    /// A generated design with several register stages on one clock.
+    fn generated(ops: &[u8], width: usize) -> Netlist {
+        triphase_netlist::gen::Recipe {
+            ops: ops.to_vec(),
+            width,
+            seed: 0,
+        }
+        .build()
+    }
+
+    #[test]
+    fn golden_layout_fingerprint() {
+        // Pinned before the annealer's move cost became incremental: any
+        // change here means placement is no longer bit-identical.
+        let nl = generated(&[5, 0, 4, 5, 1, 6, 5, 2, 3, 5, 4, 0, 5], 16);
+        let lib = Library::synthetic_28nm();
+        let opts = PnrOptions {
+            seed: 7,
+            ..Default::default()
+        };
+        let layout = place_and_route(&nl, &lib, &opts).unwrap();
+        assert_eq!(fingerprint(&layout), 0xf02f_6b8b_923c_40a6);
+    }
+
+    impl Placer {
+        /// Oracle hook: every cached box equals a fresh scan of its net,
+        /// and its HPWL is bitwise the from-scratch [`Placer::hpwl_net`].
+        /// Returns how many boxes have two or more pins on some edge.
+        fn assert_boxes_exact(&self) -> usize {
+            let mut shared = 0;
+            for (i, bx) in self.boxes.iter().enumerate() {
+                let net = NetId::from_index(i);
+                assert_eq!(*bx, self.scan(net), "stale box for net {i}");
+                assert_eq!(bx.hpwl().to_bits(), self.hpwl_net(net).to_bits());
+                if bx.on_lo.0.max(bx.on_lo.1).max(bx.on_hi.0).max(bx.on_hi.1) > 1 {
+                    shared += 1;
+                }
+            }
+            shared
+        }
+    }
+
+    #[test]
+    fn cached_boxes_match_scratch_after_every_move() {
+        let lib = Library::synthetic_28nm();
+        let mut designs: Vec<Netlist> = triphase_netlist::gen::Recipe::stream(0x9a11, 4, 10, 12)
+            .iter()
+            .map(|r| r.build())
+            .collect();
+        designs.push(generated(&[5, 0, 4, 5, 1, 6, 5, 2, 3, 5, 4, 0, 5], 16));
+        designs.push(sample(12));
+        let mut shared = 0;
+        for nl in &designs {
+            for seed in [1, 0x5eed] {
+                let cells: Vec<CellId> = nl.cells().map(|(id, _)| id).collect();
+                let side = (nl.cell_area(&lib) / 0.65).sqrt().max(1.0);
+                let mut placer = Placer::new(nl, &nl.index(), &cells, side);
+                shared += placer.assert_boxes_exact();
+                let mut rng = Rng::new(seed);
+                let moves = (24 * cells.len()).min(4000);
+                let mut temp = (placer.pitch.0 + placer.pitch.1) * 4.0;
+                let cooling = (0.005f64).powf(1.0 / moves as f64);
+                for _ in 0..moves {
+                    if placer.step(&mut rng, temp) {
+                        temp *= cooling;
+                    }
+                    shared += placer.assert_boxes_exact();
+                }
+            }
+        }
+        assert!(
+            shared > 0,
+            "no net ever had pins sharing an edge coordinate"
+        );
     }
 
     #[test]
