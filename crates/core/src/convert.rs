@@ -17,7 +17,7 @@
 
 use crate::error::{Error, Result};
 use crate::ffgraph::Assignment;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use triphase_netlist::{graph, CellId, CellKind, ClockSpec, Netlist, PortDir};
 
 /// Statistics of a 3-phase conversion.
@@ -65,8 +65,10 @@ pub fn to_three_phase(nl: &Netlist, assignment: &Assignment) -> Result<(Netlist,
     let (_, p3n) = out.add_input("p3");
 
     let mut report = ConvertReport::default();
-    // ICG -> (list of gated FFs by phase).
-    let mut icg_groups: HashMap<CellId, (Vec<CellId>, Vec<CellId>)> = HashMap::new();
+    // ICG -> (list of gated FFs by phase). Ordered by ICG id: step 2 adds
+    // the duplicate gates in this order, so the 3-phase cell order (and
+    // every placement-dependent figure) repeats from run to run.
+    let mut icg_groups: BTreeMap<CellId, (Vec<CellId>, Vec<CellId>)> = BTreeMap::new();
 
     // 1. Replace FFs with latches.
     let ffs: Vec<CellId> = nl

@@ -944,6 +944,45 @@ mod tests {
         );
     }
 
+    /// A pipeline whose clock enables each span two consecutive stages,
+    /// so conversion splits every clock gate's bank across phases and
+    /// duplicates the gate.
+    fn shared_enable_pipeline(gates: usize) -> Netlist {
+        let mut nl = Netlist::new("shared_enable");
+        let mut b = triphase_netlist::Builder::new(&mut nl, "u");
+        let (ckp, ck) = b.netlist().add_input("ck");
+        let mut w = b.word_input("d", 3);
+        for g in 0..gates {
+            let (_, en) = b.netlist().add_input(&format!("en{g}"));
+            for _ in 0..2 {
+                let x = b.xor_word(&w, &w.rotl(1));
+                w = b.dffen_word(&x, en, ck);
+            }
+        }
+        b.word_output("q", &w);
+        nl.clock = Some(triphase_netlist::ClockSpec::single(ckp, 1000.0));
+        nl
+    }
+
+    #[test]
+    fn gated_design_converts_to_the_same_report_twice() {
+        let design = shared_enable_pipeline(6);
+        let cfg = FlowConfig {
+            sim_cycles: 16,
+            equiv_cycles: 32,
+            ..FlowConfig::default()
+        };
+        let lib = triphase_cells::Library::synthetic_28nm();
+        let run = || {
+            let report = triphase_core::run_flow(&design, &lib, &cfg).expect("flow runs");
+            assert!(report.convert.icgs_duplicated >= 2, "gates are split");
+            let mut tree = report_json(&report);
+            strip_timings(&mut tree);
+            tree.to_pretty()
+        };
+        assert_eq!(run(), run());
+    }
+
     #[test]
     fn strip_timings_removes_seconds_fields_recursively() {
         let mut v =
