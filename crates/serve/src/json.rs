@@ -17,7 +17,8 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A finite number (serialized via `f64`).
+    /// A number (serialized via `f64`). JSON has no spelling for
+    /// infinities or NaN, so a non-finite value serializes as `null`.
     Num(f64),
     /// A string.
     Str(String),
@@ -85,6 +86,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(v) if !v.is_finite() => out.push_str("null"),
             Json::Num(v) => {
                 if v.fract() == 0.0 && v.abs() < 1e15 {
                     let _ = write!(out, "{}", *v as i64);
@@ -390,6 +392,21 @@ mod tests {
         assert!(text.contains("\\\"") && text.contains("\\n"));
         assert!(text.contains("1000000") && !text.contains("1000000.0"));
         assert_eq!(Json::parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn non_finite_numbers_serialize_as_null() {
+        let doc = Json::Arr(vec![
+            Json::Num(f64::NEG_INFINITY),
+            Json::Num(f64::INFINITY),
+            Json::Num(f64::NAN),
+            Json::Num(-1.5),
+        ]);
+        let parsed = Json::parse(&doc.to_pretty()).unwrap();
+        assert_eq!(
+            parsed,
+            Json::Arr(vec![Json::Null, Json::Null, Json::Null, Json::Num(-1.5)])
+        );
     }
 
     #[test]

@@ -944,6 +944,31 @@ mod tests {
         );
     }
 
+    #[test]
+    fn report_with_non_converged_slack_parses_back() {
+        let design = triphase_circuits::pipeline::linear_pipeline(3, 4, 1, 900.0);
+        let cfg = FlowConfig {
+            sim_cycles: 16,
+            equiv_cycles: 32,
+            ..FlowConfig::default()
+        };
+        let lib = triphase_cells::Library::synthetic_28nm();
+        let mut report = triphase_core::run_flow(&design, &lib, &cfg).expect("flow runs");
+        // What `evaluate` records when SMO does not converge.
+        report.three_phase.worst_setup_slack_ps = f64::NEG_INFINITY;
+        report.three_phase.worst_hold_slack_ps = f64::NEG_INFINITY;
+        let text = report_json(&report).to_pretty();
+        let parsed = Json::parse(&text).expect("non-finite slack stays valid JSON");
+        let tp = parsed.get("three_phase").expect("variant present");
+        assert_eq!(tp.get("worst_setup_slack_ps"), Some(&Json::Null));
+        assert_eq!(tp.get("worst_hold_slack_ps"), Some(&Json::Null));
+        let ff = parsed.get("ff").expect("variant present");
+        assert_eq!(
+            ff.get("worst_setup_slack_ps").and_then(Json::as_f64),
+            Some(report.ff.worst_setup_slack_ps)
+        );
+    }
+
     /// A pipeline whose clock enables each span two consecutive stages,
     /// so conversion splits every clock gate's bank across phases and
     /// duplicates the gate.
