@@ -18,7 +18,7 @@
 use crate::error::{Error, Result};
 use crate::ffgraph::Assignment;
 use std::collections::{BTreeMap, HashMap};
-use triphase_netlist::{graph, CellId, CellKind, ClockSpec, Netlist, PortDir};
+use triphase_netlist::{graph, CellId, CellKind, ClockSpec, Netlist, PortDir, PortId};
 
 /// Statistics of a 3-phase conversion.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -177,11 +177,15 @@ pub fn to_three_phase(nl: &Netlist, assignment: &Assignment) -> Result<(Netlist,
     }
 
     // 4. Insert p2 latches on flagged primary inputs, moving their
-    // combinational loads to the latched copy.
-    for (&port, &needs) in &assignment.pi_g {
-        if !needs {
-            continue;
-        }
+    // combinational loads to the latched copy. In port order, like the
+    // gates above, so the latches' cell ids repeat from run to run.
+    let mut latched: Vec<PortId> = assignment
+        .pi_g
+        .iter()
+        .filter_map(|(&port, &needs)| needs.then_some(port))
+        .collect();
+    latched.sort();
+    for port in latched {
         let n = nl.port(port).net;
         let n2 = out.add_net(format!("pi_lat{}", report.pi_latches));
         out.add_cell(
@@ -358,6 +362,24 @@ mod tests {
         let (tp, _) = convert(&pre);
         let r = equiv_stream(&nl, &tp, 5, 120).unwrap();
         assert!(r.equivalent(), "{:?}", r.mismatch);
+    }
+
+    #[test]
+    fn conversion_repeats_exactly_with_split_gates_and_input_latches() {
+        let p = iscas_profiles()
+            .into_iter()
+            .find(|p| p.name == "s5378")
+            .unwrap();
+        let mut pre = generate_iscas(&p, 42);
+        gated_clock_style(&mut pre, 32).unwrap();
+        // Each conversion solves its own assignment, as separate flows do.
+        let (a, report) = convert(&pre);
+        let (b, _) = convert(&pre);
+        assert!(report.icgs_duplicated >= 2 && report.pi_latches >= 2);
+        assert_eq!(
+            triphase_netlist::snapshot::to_text(&a),
+            triphase_netlist::snapshot::to_text(&b)
+        );
     }
 
     /// Two enabled FF banks sharing one enable, chained: the ILP will

@@ -46,7 +46,7 @@
 //! # Ok::<(), triphase_retime::Error>(())
 //! ```
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use triphase_cells::{CellKind, Library, PinClass, PinDir};
 use triphase_netlist::{CellId, ConnIndex, NetId, Netlist, PortDir, PortId};
@@ -609,8 +609,9 @@ fn apply(
     }
     let mut fresh = 0usize;
     let mut chains: HashMap<NetId, Vec<NetId>> = HashMap::new();
-    // Original net -> replacement driver for output ports.
-    let mut port_rewires: HashMap<NetId, NetId> = HashMap::new();
+    // Original net -> replacement driver for output ports, in net order
+    // so the bridging buffers get the same cell ids on every run.
+    let mut port_rewires: BTreeMap<NetId, NetId> = BTreeMap::new();
 
     for e in &g.edges {
         let w_r = e.weight + r[e.to] - r[e.from];
