@@ -285,6 +285,7 @@ impl NetBox {
         }
     }
 
+    /// Add a pin at `(x, y)`.
     fn add(&mut self, (x, y): (f64, f64)) {
         self.pins += 1;
         widen(x, &mut self.lo.0, &mut self.on_lo.0, |v, edge| v < edge);
