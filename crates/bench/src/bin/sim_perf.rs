@@ -236,63 +236,52 @@ fn main() {
     compiled_section.set("widest_speedup_vs_scalar", widest_vs_scalar.into());
     compiled_section.set("lower_stats", lower);
 
-    // Thread scaling: independent packed activity collections fanned out
-    // through explicit pools of 1/2/4/8 workers. The fingerprints of the
-    // results must match across thread counts (deterministic scheduling-
-    // independent output); wall-clock per pool size gives the curve.
+    // Thread scaling: independent packed activity collections, run first
+    // serially on the calling thread (the baseline), then fanned out
+    // through explicit pools of 1/2/4/8 workers. A pool's caller helps
+    // run its scope, so even a 1-worker pool uses two threads and is not
+    // a serial baseline. Every pool's fingerprints must match the serial
+    // ones (scheduling-independent output); wall-clock per pool size
+    // gives the curve.
     let tasks: u64 = if quick { 4 } else { 16 };
     let task_cycles: u64 = if quick { 8 } else { 32 };
     let seeds: Vec<u64> = (0..tasks).collect();
-    println!("== thread scaling ({tasks} tasks, {task_cycles} cycles x {LANES} lanes each) ==");
-    let run_tasks = |pool: &ThreadPool| -> Vec<u64> {
-        pool.par_map(&seeds, |&seed| {
-            let sim = run_random_packed(&ff_design, seed, task_cycles, LANES)
-                .expect("thread-scaling run");
-            activity_hash(&sim.activity())
-        })
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "== thread scaling ({tasks} tasks, {task_cycles} cycles x {LANES} lanes each, \
+         available parallelism {nproc}) =="
+    );
+    let task = |&seed: &u64| -> u64 {
+        let sim =
+            run_random_packed(&ff_design, seed, task_cycles, LANES).expect("thread-scaling run");
+        activity_hash(&sim.activity())
     };
+    let t0 = std::time::Instant::now();
+    let serial: Vec<u64> = seeds.iter().map(task).collect();
+    let serial_secs = t0.elapsed().as_secs_f64();
+    println!("serial      {:>9.3} ms", serial_secs * 1e3);
     let mut curve = Vec::new();
-    let mut baseline: Option<(f64, Vec<u64>)> = None;
     let mut deterministic = true;
     for threads in [1usize, 2, 4, 8] {
         let pool = ThreadPool::new(threads);
         let t0 = std::time::Instant::now();
-        let hashes = run_tasks(&pool);
+        let hashes = pool.par_map(&seeds, task);
         let secs = t0.elapsed().as_secs_f64();
-        let speedup_vs_1t = match &baseline {
-            Some((base, base_hashes)) => {
-                if *base_hashes != hashes {
-                    deterministic = false;
-                }
-                if secs > 0.0 {
-                    base / secs
-                } else {
-                    0.0
-                }
-            }
-            None => {
-                baseline = Some((secs, hashes.clone()));
-                1.0
-            }
-        };
+        deterministic &= hashes == serial;
+        let speedup_vs_serial = if secs > 0.0 { serial_secs / secs } else { 0.0 };
         println!(
-            "threads {threads:>2}  {:>9.3} ms  speedup vs 1t {speedup_vs_1t:>6.2}x",
+            "threads {threads:>2}  {:>9.3} ms  speedup vs serial {speedup_vs_serial:>6.2}x",
             secs * 1e3
         );
         let mut point = Json::obj();
         point.set("threads", threads.into());
         point.set("secs", secs.into());
-        point.set("speedup_vs_1t", speedup_vs_1t.into());
+        point.set("speedup_vs_serial", speedup_vs_serial.into());
         curve.push(point);
     }
-    let fingerprint = baseline
-        .as_ref()
-        .map(|(_, hashes)| {
-            hashes
-                .iter()
-                .fold(0xcbf2_9ce4_8422_2325u64, |h, &v| h.rotate_left(7) ^ v)
-        })
-        .unwrap_or(0);
+    let fingerprint = serial
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &v| h.rotate_left(7) ^ v);
     println!(
         "deterministic across thread counts: {deterministic}  (fingerprint {fingerprint:016x})"
     );
@@ -301,6 +290,8 @@ fn main() {
     scaling.set("tasks", tasks.into());
     scaling.set("lanes", LANES.into());
     scaling.set("per_task_cycles", task_cycles.into());
+    scaling.set("available_parallelism", nproc.into());
+    scaling.set("serial_secs", serial_secs.into());
     scaling.set("deterministic", deterministic.into());
     scaling.set("fingerprint", format!("{fingerprint:016x}").into());
     scaling.set("curve", Json::Arr(curve));

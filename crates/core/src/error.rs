@@ -40,9 +40,6 @@ pub enum Error {
     /// (variant evaluation, benchmark run). The message carries the task
     /// name and, when downcastable, the panic payload.
     Panic(String),
-    /// A stage checkpoint could not be written, read, or matched against
-    /// the current flow configuration.
-    Checkpoint(String),
 }
 
 impl Error {
@@ -96,7 +93,6 @@ impl fmt::Display for Error {
                 Ok(())
             }
             Error::Panic(m) => write!(f, "task panicked: {m}"),
-            Error::Checkpoint(m) => write!(f, "checkpoint error: {m}"),
         }
     }
 }
@@ -153,8 +149,6 @@ mod tests {
         assert_eq!(e.to_string(), "task panicked: variant ff: boom 7");
         let p = std::panic::catch_unwind(|| panic!("literal")).unwrap_err();
         assert!(Error::from_panic("t", p).to_string().contains("literal"));
-        let e = Error::Checkpoint("bad header".into());
-        assert!(e.to_string().contains("checkpoint"), "{e}");
     }
 
     #[test]

@@ -45,7 +45,6 @@
 //! # Ok::<(), triphase_core::Error>(())
 //! ```
 
-mod checkpoint;
 mod clockgate;
 mod convert;
 mod error;
@@ -53,11 +52,8 @@ mod ffgraph;
 mod flow;
 mod preprocess;
 mod retiming;
+mod stage;
 
-pub use checkpoint::{
-    fingerprint as flow_fingerprint, stage_data_from_text, stage_data_to_text, stage_key,
-    CheckpointCfg, IlpOutcome, Stage,
-};
 pub use clockgate::{
     apply_ddcg, apply_ddcg_placed, apply_ddcg_static, apply_m2, gate_p2_common_enable, CgReport,
 };
@@ -70,3 +66,7 @@ pub use flow::{
 };
 pub use preprocess::{gated_clock_style, PreprocessReport};
 pub use retiming::{retime_three_phase, RetimeReport};
+pub use stage::{
+    fingerprint as flow_fingerprint, stage_data_from_text, stage_data_to_text, stage_key,
+    IlpOutcome, Stage,
+};

@@ -165,8 +165,9 @@ impl Injector for FaultPlan {
     }
 }
 
-/// FNV-1a 64-bit hash. Also used by the flow checkpoint store to
-/// fingerprint configurations.
+/// FNV-1a 64-bit hash. Also used by the flow's stage keys and
+/// fingerprints (`triphase_core::stage_key`) and by the service
+/// journal's record checksums.
 pub fn fnv1a64(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in data {

@@ -1,11 +1,11 @@
-//! Exact textual snapshots of a netlist, for checkpoint/resume.
+//! Exact textual snapshots of a netlist, for memoization keys and resume.
 //!
 //! Unlike the Verilog writer, a snapshot preserves the arena layout
 //! byte-for-byte: tombstone slots, allocation order, and the clock spec
 //! with `f64` fields stored as raw bit patterns. Restoring a snapshot
 //! therefore yields a netlist on which every deterministic downstream
 //! stage (retiming, clock gating, P&R, power) reproduces bit-identical
-//! results — the property the flow checkpoint store relies on.
+//! results — the property the flow's stage memo relies on.
 
 use crate::error::{Error, Result};
 use crate::id::{NetId, PortId};

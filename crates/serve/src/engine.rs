@@ -16,9 +16,9 @@
 //!   aborting between stages never wastes banked work.
 //! - **Durable memoization** (`JournaledMemo`): when the server runs
 //!   with a journal, every stage record is appended (and fsync'd) to the
-//!   journal *before* it lands in the in-memory store — the same
-//!   artifact-before-fault-site ordering the checkpoint layer uses, so a
-//!   SIGKILL after stage N always finds N stages on disk.
+//!   journal *before* it lands in the in-memory store, and the flow
+//!   records a stage before its fault site fires, so a SIGKILL after
+//!   stage N always finds N stages on disk.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -169,12 +169,12 @@ impl Engine {
     }
 
     /// Convert one design. The request's config is taken as-is except
-    /// that the fault and checkpoint hooks are forced from the engine —
-    /// the wire cannot reach them. `emit` receives cache provenance in
-    /// resolution order: the `"report"` tier first, then (on a report
-    /// miss) each flow stage as it resolves. A fired `token` aborts at
-    /// the next stage boundary by unwinding [`CancelUnwind`] (caught by
-    /// the worker's panic containment, never crossing the daemon).
+    /// that the fault hook is forced from the engine — the wire cannot
+    /// reach it. `emit` receives cache provenance in resolution order:
+    /// the `"report"` tier first, then (on a report miss) each flow
+    /// stage as it resolves. A fired `token` aborts at the next stage
+    /// boundary by unwinding [`CancelUnwind`] (caught by the worker's
+    /// panic containment, never crossing the daemon).
     ///
     /// # Errors
     ///
@@ -189,7 +189,6 @@ impl Engine {
     ) -> triphase_core::Result<Arc<FlowReport>> {
         let mut cfg = cfg.clone();
         cfg.fault = self.fault.clone();
-        cfg.checkpoint = None;
         let abort = |reason: &'static str, last_banked: &'static str| -> ! {
             std::panic::panic_any(CancelUnwind {
                 reason,

@@ -9,9 +9,8 @@
 //! - `stage` — one stage-cache entry, in the exact
 //!   [`triphase_core::stage_data_to_text`] encoding (written before the
 //!   in-memory memo record, which itself precedes the stage's
-//!   fault-injection site — the same ordering argument the checkpoint
-//!   layer makes: artifacts become durable before anything can kill the
-//!   job);
+//!   fault-injection site: artifacts become durable before anything can
+//!   kill the job);
 //! - `done` — a job reached a terminal state (success, typed error,
 //!   cancellation) and must not be resumed.
 //!
@@ -19,10 +18,10 @@
 //! the [`crate::memo::MemoStore`] stage tier, and `accept` records with
 //! no matching `done` are re-enqueued, so a SIGKILL'd daemon resumes
 //! every acknowledged job from its last banked stage. Replay then
-//! **compacts**: a fresh journal is atomically written (temp file +
-//! rename, the checkpoint idiom) containing the deduplicated stage
-//! entries and the still-pending accepts, bounding growth across
-//! restarts.
+//! **compacts**: a fresh journal is atomically written (temp file,
+//! fsync, rename, fsync of the parent directory) containing the
+//! deduplicated stage entries and the still-pending accepts, bounding
+//! growth across restarts.
 //!
 //! Records are framed as a header line — `rec <kind> <len> <fnv1a64>` —
 //! followed by exactly `len` payload bytes and a separator newline.
@@ -164,6 +163,26 @@ fn parse_accept(payload: &str) -> Option<AcceptRecord> {
     })
 }
 
+/// The directory holding `path` (`.` for a bare file name).
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    }
+}
+
+/// fsync a directory, making a just-created or just-renamed entry in it
+/// survive power loss: the entry lives in the directory, which the
+/// file's own fsync does not cover. A no-op off unix, where a directory
+/// cannot be opened as a file.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    if cfg!(unix) {
+        File::open(dir)?.sync_all()
+    } else {
+        Ok(())
+    }
+}
+
 fn record_text(kind: &str, payload: &str) -> String {
     format!(
         "rec {kind} {} {:016x}\n{payload}\n",
@@ -174,19 +193,20 @@ fn record_text(kind: &str, payload: &str) -> String {
 
 impl Journal {
     /// Open (or create) the journal at `path` for appending. The parent
-    /// directory is created if missing.
+    /// directory is created if missing, and fsync'd once the file is
+    /// open: otherwise a power cut could lose a freshly created journal
+    /// (or bring back the pre-compaction one) together with every
+    /// fsync'd record appended to it.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
     pub fn open(path: impl Into<PathBuf>) -> std::io::Result<Journal> {
         let path = path.into();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
+        let dir = parent_dir(&path);
+        std::fs::create_dir_all(dir)?;
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        sync_dir(dir)?;
         Ok(Journal {
             file: Mutex::new(file),
             path,
@@ -221,17 +241,14 @@ impl Journal {
             compacted.push_str(&record_text("accept", &accept_payload(rec)));
         }
         let tmp = path.with_extension("journal.tmp");
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
+        std::fs::create_dir_all(parent_dir(&path))?;
         {
             let mut f = File::create(&tmp)?;
             f.write_all(compacted.as_bytes())?;
             f.sync_data()?;
         }
         std::fs::rename(&tmp, &path)?;
+        // `open` fsyncs the directory, which makes the rename durable.
         let journal = Journal::open(&path)?;
         Ok((journal, replay))
     }

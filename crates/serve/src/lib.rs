@@ -2,14 +2,17 @@
 //! that runs the FF → 3-phase flow ([`triphase_core::run_flow`]) behind
 //! a length-framed JSON wire protocol, with an async job queue, a
 //! worker pool, and a two-tier memoization store keyed on the flow's
-//! checkpoint fingerprints.
+//! fingerprint and per-stage keys ([`triphase_core::flow_fingerprint`],
+//! [`triphase_core::stage_key`]). With a journal the stage tier is
+//! durable, which makes it the flow's resume mechanism across daemon
+//! restarts.
 //!
 //! Why a daemon: the flow's dominant costs (P&R, simulation, the ILP)
 //! recur identically across ECO-style iterations on the same design.
 //! Holding the caches in a long-lived process turns a resubmitted
 //! netlist into a report-cache hit and an *edited* netlist into a
 //! partial replay — only stages at or after the first divergent
-//! checkpoint fingerprint re-run, with hit/miss provenance recorded per
+//! stage key re-run, with hit/miss provenance recorded per
 //! job in the response ([`engine::StageProv`]).
 //!
 //! The wire format ([`frame`]) is a 4-byte big-endian length prefix

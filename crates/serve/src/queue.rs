@@ -194,10 +194,12 @@ impl JobQueue {
         st.reserved_bytes = st.reserved_bytes.saturating_sub(est_bytes);
     }
 
-    /// Phase 2 of admission: enqueue a reserved job. Returns the number
-    /// of jobs ahead of it (0 = next to run). If the queue stopped
-    /// between reserve and commit, the job is returned so the caller can
-    /// fail it with a typed error.
+    /// Phase 2 of admission: enqueue a reserved job and send its
+    /// `queued` event. Returns the number of jobs ahead of it (0 = next
+    /// to run). The event goes out under the queue lock, before the job
+    /// is runnable, so it precedes every event the job's runner sends.
+    /// If the queue stopped between reserve and commit, the job is
+    /// returned so the caller can fail it with a typed error.
     #[allow(clippy::result_large_err)] // Err hands the whole job back for a typed failure
     pub fn commit(&self, job: Job) -> Result<usize, Job> {
         let mut st = self.lock();
@@ -207,6 +209,7 @@ impl JobQueue {
             return Err(job);
         }
         let position = st.jobs.len();
+        let _ = job.reply.send(crate::proto::queued_event(job.id, position));
         st.queued_bytes += job.est_bytes;
         st.jobs.push_back(job);
         drop(st);
@@ -231,21 +234,16 @@ impl JobQueue {
 
     /// Block until a job is available; `None` once stopped and drained.
     /// Remaining queued jobs get a fresh `queued` position event so
-    /// waiting clients watch themselves advance.
+    /// waiting clients watch themselves advance. The events are sent
+    /// under the lock (channel sends never block), so no other runner
+    /// can pop, run and finish one of those jobs ahead of its event.
     pub fn pop(&self) -> Option<Job> {
         let mut st = self.lock();
         loop {
             if let Some(job) = st.jobs.pop_front() {
                 st.queued_bytes = st.queued_bytes.saturating_sub(job.est_bytes);
-                let updates: Vec<(Sender<String>, String)> = st
-                    .jobs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, j)| (j.reply.clone(), crate::proto::queued_event(j.id, i)))
-                    .collect();
-                drop(st);
-                for (tx, event) in updates {
-                    let _ = tx.send(event);
+                for (i, j) in st.jobs.iter().enumerate() {
+                    let _ = j.reply.send(crate::proto::queued_event(j.id, i));
                 }
                 return Some(job);
             }
@@ -418,12 +416,17 @@ mod tests {
     #[test]
     fn pop_streams_position_updates_to_waiting_jobs() {
         let q = JobQueue::new();
-        let (j1, _rx1) = job(1, 1);
+        let (j1, rx1) = job(1, 1);
         let (j2, rx2) = job(2, 1);
         let (j3, rx3) = job(3, 1);
         for j in [j1, j2, j3] {
             assert!(q.reserve(1).is_ok());
             assert!(q.commit(j).is_ok());
+        }
+        // Commit sent each job its admission position.
+        for (rx, position) in [(&rx1, 0), (&rx2, 1), (&rx3, 2)] {
+            let e = rx.try_recv().expect("admission position");
+            assert!(e.contains(&format!("\"position\": {position}")), "{e}");
         }
         let popped = q.pop().expect("job 1");
         assert_eq!(popped.id, 1);

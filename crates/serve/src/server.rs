@@ -389,8 +389,10 @@ fn admit(ctx: &Arc<Ctx>, id: u64, j: &proto::JobRequest) -> Admitted {
     Admitted::Reserved
 }
 
-/// The post-ack half: commit the reserved job to the queue.
-fn commit(ctx: &Arc<Ctx>, id: u64, j: proto::JobRequest, tx: &Sender<String>) -> Option<usize> {
+/// The post-ack half: commit the reserved job to the queue, making it
+/// runnable; `false` if the queue stopped first. The queue itself sends
+/// the job's `queued` event.
+fn commit(ctx: &Arc<Ctx>, id: u64, j: proto::JobRequest, tx: &Sender<String>) -> bool {
     match ctx.queue.commit(Job {
         id,
         name: j.name,
@@ -401,11 +403,11 @@ fn commit(ctx: &Arc<Ctx>, id: u64, j: proto::JobRequest, tx: &Sender<String>) ->
         deadline_ms: j.deadline_ms,
         reply: tx.clone(),
     }) {
-        Ok(position) => Some(position),
+        Ok(_) => true,
         Err(_) => {
             ctx.tokens().remove(&id);
             ctx.journal_done(id, "shutdown");
-            None
+            false
         }
     }
 }
@@ -456,14 +458,11 @@ fn reader_loop(mut stream: TcpStream, ctx: &Arc<Ctx>, tx: &Sender<String>) {
                     match outcome {
                         Admitted::Reserved => {
                             let name = j.name.clone();
-                            match commit(ctx, *id, j, tx) {
-                                Some(position) => {
-                                    let _ = tx.send(proto::queued_event(*id, position));
-                                }
-                                None => send_json(
+                            if !commit(ctx, *id, j, tx) {
+                                send_json(
                                     tx,
                                     &proto::done_err(*id, &name, "shutdown", "server is stopping"),
-                                ),
+                                );
                             }
                         }
                         Admitted::Shed {
