@@ -1,5 +1,5 @@
 //! Static switching-activity CLI: cross-validate the `triphase-activity`
-//! probability/density propagation against the packed simulator over the
+//! probability/density propagation against the compiled simulator over the
 //! registered benchmark generators.
 //!
 //! ```text
@@ -10,7 +10,7 @@
 //! activity --certify       # full campaign -> results/BENCH_activity.json
 //! ```
 //!
-//! Per benchmark the packed simulator runs the row's own stimulus style
+//! Per benchmark the compiled simulator runs the row's own stimulus style
 //! and the static model is seeded from the measured boundary profile —
 //! every primary input *and* every storage output gets its empirical
 //! (probability, density) pair, then a single topological pass
@@ -133,7 +133,7 @@ struct Comparison {
     p95_rel_err: f64,
     max_rel_err: f64,
     static_seconds: f64,
-    /// Packed (64-lane) truth-run wall time.
+    /// Compiled (64-lane) truth-run wall time.
     sim_seconds: f64,
     /// Scalar reference-simulator wall time over the same cycle count —
     /// the conventional simulation cost the static analysis replaces.

@@ -1,14 +1,20 @@
 //! Read-merge-write helpers for the machine-readable perf report
-//! `results/BENCH_sim.json`.
+//! `results/BENCH_sim.json`, plus the s5378 simulation fixture and
+//! activity fingerprint that `sim_perf` reports and the golden test pins.
 //!
 //! Several binaries contribute sections to the same file (`sim_perf`
 //! writes kernel throughput and thread-scaling curves, `runtime_report`
-//! writes the flow runtime decomposition, the `sim_throughput` bench
-//! writes its raw measurements), so each merges its own top-level key and
-//! leaves the others intact. A corrupt or missing file is replaced with a
-//! fresh object rather than failing the run.
+//! writes the flow runtime decomposition), so each merges its own
+//! top-level key and leaves the others intact. A corrupt or missing file
+//! is replaced with a fresh object rather than failing the run.
 
 use std::path::{Path, PathBuf};
+
+use triphase_circuits::iscas::{generate_iscas, iscas_profiles};
+use triphase_core::{assign_phases, extract_ff_graph, gated_clock_style, to_three_phase};
+use triphase_ilp::PhaseConfig;
+use triphase_netlist::Netlist;
+use triphase_sim::Activity;
 
 use crate::json::Json;
 use crate::microbench::Measurement;
@@ -77,6 +83,44 @@ pub fn measurement_json(m: &Measurement) -> Json {
     rec
 }
 
+/// The s5378 FF design (clock-gated, generator seed 42) and its
+/// converted 3-phase twin: the simulation-throughput and fingerprint
+/// fixture of `sim_perf`.
+///
+/// # Panics
+///
+/// If the registered s5378 profile is missing or conversion fails.
+pub fn build_s5378() -> (Netlist, Netlist) {
+    let profile = iscas_profiles()
+        .into_iter()
+        .find(|p| p.name == "s5378")
+        .expect("s5378 profile");
+    let mut ff_design = generate_iscas(&profile, 42);
+    gated_clock_style(&mut ff_design, 32).expect("clock gating");
+    let idx = ff_design.index();
+    let graph = extract_ff_graph(&ff_design, &idx).expect("FF graph");
+    let assignment = assign_phases(&graph, &PhaseConfig::default());
+    let (latch_design, _) = to_three_phase(&ff_design, &assignment).expect("conversion");
+    (ff_design, latch_design)
+}
+
+/// FNV-1a over an activity's cycle count and toggle vector: a stable
+/// fingerprint of a whole simulated trajectory (values feed toggles).
+pub fn activity_hash(a: &Activity) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |v: u64| {
+        for byte in v.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    mix(a.cycles);
+    for &t in &a.net_toggles {
+        mix(t);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,7 +151,7 @@ mod tests {
     #[test]
     fn measurement_json_mirrors_derived_figures() {
         let m = Measurement {
-            name: "packed".into(),
+            name: "compiled".into(),
             median_secs: 0.5,
             best_secs: 0.4,
             samples: 5,
@@ -123,5 +167,20 @@ mod tests {
             rec.get("ns_per_cycle").and_then(Json::as_f64),
             Some(m.ns_per_element())
         );
+    }
+
+    #[test]
+    fn golden_s5378_activity_fingerprints() {
+        // Pinned on the compiled kernel (seed 11, 256 cycles per lane);
+        // any change means simulated activity is no longer bit-identical.
+        let (ff, three_phase) = build_s5378();
+        let fp = |nl: &Netlist, lanes: usize| {
+            let sim = triphase_sim::run_random_compiled(nl, 11, 256, lanes).unwrap();
+            format!("{:016x}", activity_hash(&sim.activity()))
+        };
+        assert_eq!(fp(&ff, 64), "502c33ea0324c76c");
+        assert_eq!(fp(&ff, 512), "3a1937eee7fae47b");
+        assert_eq!(fp(&three_phase, 64), "30a5cacbc005192c");
+        assert_eq!(fp(&three_phase, 512), "3e88b4e92909e3c5");
     }
 }

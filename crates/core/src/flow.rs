@@ -19,12 +19,12 @@ use triphase_lint::{LintStage, Linter};
 use triphase_netlist::{Netlist, NetlistStats};
 use triphase_pnr::{place_and_route, Layout, PnrOptions};
 use triphase_power::{estimate_power, PowerReport};
-use triphase_sim::{collect_activity_packed, equiv_stream_warmup, Activity};
+use triphase_sim::{equiv_stream_warmup, Activity};
 use triphase_timing::analyze_smo;
 
 /// Stimulus provider: produces a switching-activity profile for a design
 /// variant. The default drives seeded pseudo-random inputs through the
-/// bit-parallel packed kernel; CPU benchmarks substitute a closure that
+/// compiled multi-lane kernel; CPU benchmarks substitute a closure that
 /// pins the workload-select input. `Sync` because the flow evaluates its
 /// design variants on the [`triphase_par`] pool concurrently.
 pub type Drive<'a> = dyn Fn(&Netlist, u64) -> triphase_sim::Result<Activity> + Sync + 'a;
@@ -125,17 +125,13 @@ impl Default for ActivityCfg {
 
 /// Which simulation kernel gathers switching activity in [`run_flow`].
 ///
-/// All three are certified bit-exact against each other (values and
-/// toggle counts), so the choice only affects throughput: the compiled
-/// bytecode VM simulates up to 512 stimulus streams per pass, packed 64,
-/// scalar 1.
+/// There is one: the compiled bytecode VM, which simulates up to 512
+/// stimulus streams per pass and is certified bit-exact (values and
+/// toggle counts) against the scalar reference simulator. The label is
+/// part of every report and of the service's report key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimBackend {
-    /// Reference scalar simulator (one stream).
-    Scalar,
-    /// 64-lane bit-parallel kernel.
-    Packed,
-    /// Fused bytecode VM, up to 512 lanes (default).
+    /// Fused bytecode VM, up to 512 lanes.
     #[default]
     Compiled,
 }
@@ -144,24 +140,18 @@ impl SimBackend {
     /// Stable label recorded in [`FlowReport::sim_backend`].
     pub fn label(self) -> &'static str {
         match self {
-            SimBackend::Scalar => "scalar",
-            SimBackend::Packed => "packed",
             SimBackend::Compiled => "compiled",
         }
     }
 
     /// Collect `cycles` total cycles of pseudo-random activity with this
-    /// backend (multi-lane kernels split them across stimulus streams).
+    /// backend, split across up to 512 stimulus streams.
     ///
     /// # Errors
     ///
     /// Simulator construction/driving errors.
     pub fn collect(self, nl: &Netlist, seed: u64, cycles: u64) -> triphase_sim::Result<Activity> {
         match self {
-            SimBackend::Scalar => {
-                triphase_sim::run_random(nl, seed, cycles).map(|s| s.activity().clone())
-            }
-            SimBackend::Packed => collect_activity_packed(nl, seed, cycles),
             SimBackend::Compiled => triphase_sim::collect_activity_compiled(nl, seed, cycles),
         }
     }
@@ -427,12 +417,10 @@ impl FlowReport {
 
 /// Run the full three-variant flow with pseudo-random stimulus.
 ///
-/// Activity is gathered with the kernel selected by
-/// [`FlowConfig::sim_backend`] (default: the compiled bytecode VM,
-/// `sim_cycles` total cycles split across up to 512 independent stimulus
-/// lanes, of which lane 0 replays the historical single-stream sequence
-/// for `seed`). All backends are toggle-exact twins, so the report's
-/// power numbers are independent of the choice.
+/// Activity is gathered with [`FlowConfig::sim_backend`] (the compiled
+/// bytecode VM: `sim_cycles` total cycles split across up to 512
+/// independent stimulus lanes, of which lane 0 replays the historical
+/// single-stream sequence for `seed`).
 ///
 /// # Errors
 ///

@@ -10,7 +10,7 @@
 //! auditable:
 //!
 //! - all atomics use `SeqCst` — task granularity in this workspace is a
-//!   whole benchmark flow or a full packed-simulation run, so index-
+//!   whole benchmark flow or a full simulation run, so index-
 //!   protocol overhead is irrelevant next to correctness;
 //! - grown-out buffers are *retired*, not freed: they stay allocated
 //!   until the deque drops, so a thief holding a stale buffer pointer

@@ -266,7 +266,8 @@ fn want_bool(v: &Json, key: &str) -> Result<bool, ProtoError> {
 /// defaults overridden by the given keys. Unknown keys are rejected
 /// (`bad_config`) so schema drift fails loudly instead of silently
 /// running with defaults. The fault-injection hook is deliberately not
-/// reachable from the wire.
+/// reachable from the wire. `sim_backend` accepts only `"compiled"`,
+/// the one simulation kernel.
 ///
 /// # Errors
 ///
@@ -299,13 +300,11 @@ pub fn parse_config(obj: &Json) -> Result<FlowConfig, ProtoError> {
             }
             "sim_backend" => {
                 cfg.sim_backend = match v.as_str() {
-                    Some("scalar") => SimBackend::Scalar,
-                    Some("packed") => SimBackend::Packed,
                     Some("compiled") => SimBackend::Compiled,
                     _ => {
                         return Err(ProtoError::new(
                             "bad_config",
-                            "`sim_backend` must be scalar|packed|compiled",
+                            "`sim_backend` must be \"compiled\"",
                         ))
                     }
                 }
@@ -827,7 +826,7 @@ mod tests {
             lint: LintPolicy::Deny,
             equiv: EquivPolicy::Warn,
             dfa: DfaPolicy::Off,
-            sim_backend: SimBackend::Packed,
+            sim_backend: SimBackend::Compiled,
             ..FlowConfig::default()
         };
         cfg.pnr.moves_per_cell = 3;
@@ -842,7 +841,7 @@ mod tests {
         assert_eq!(back.equiv, EquivPolicy::Warn);
         assert_eq!(back.dfa, DfaPolicy::Off);
         assert_eq!(back.equiv_cycles, 128);
-        assert_eq!(back.sim_backend, SimBackend::Packed);
+        assert_eq!(back.sim_backend, SimBackend::Compiled);
     }
 
     #[test]
@@ -850,6 +849,16 @@ mod tests {
         let mut o = Json::obj();
         o.set("frobnicate", Json::Num(3.0));
         assert_eq!(parse_config(&o).expect_err("rejects").code, "bad_config");
+        // Only the compiled kernel is accepted.
+        for backend in ["scalar", "packed", "quantum"] {
+            let mut o = Json::obj();
+            o.set("sim_backend", Json::Str(backend.into()));
+            assert_eq!(
+                parse_config(&o).expect_err("rejects").code,
+                "bad_config",
+                "{backend}"
+            );
+        }
         assert_eq!(
             parse_request("{\"kind\":\"warp\"}")
                 .expect_err("rejects")

@@ -4,9 +4,12 @@
 //! stage named, kills queued and running jobs on `cancel`, and keeps
 //! serving after a contained worker panic.
 
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
+
 use triphase_circuits::pipeline::linear_pipeline;
 use triphase_core::FlowConfig;
-use triphase_fault::{Fault, FaultPlan};
+use triphase_fault::{Fault, FaultPlan, Injector};
 use triphase_netlist::{snapshot, Netlist};
 use triphase_serve::{Client, Json, Server, ServerOptions};
 
@@ -116,41 +119,109 @@ fn overload_sheds_with_retry_hint_and_recovers_after_drain() {
     server.wait();
 }
 
+/// Fault hook that parks the first flow reaching `site` until the test
+/// releases it, and never injects a fault: it keeps a worker provably
+/// busy for exactly as long as a test needs.
+#[derive(Debug)]
+struct Gate {
+    site: &'static str,
+    /// (a flow is parked, the gate is released)
+    state: Mutex<(bool, bool)>,
+    cv: Condvar,
+}
+
+impl Gate {
+    fn new(site: &'static str) -> Arc<Gate> {
+        Arc::new(Gate {
+            site,
+            state: Mutex::new((false, false)),
+            cv: Condvar::new(),
+        })
+    }
+
+    /// Block until a flow is parked at the gate.
+    fn wait_parked(&self) {
+        let state = self.state.lock().expect("gate lock");
+        let (state, timeout) = self
+            .cv
+            .wait_timeout_while(state, Duration::from_secs(60), |s| !s.0)
+            .expect("gate lock");
+        assert!(state.0 && !timeout.timed_out(), "no flow reached the gate");
+    }
+
+    fn release(&self) {
+        self.state.lock().expect("gate lock").1 = true;
+        self.cv.notify_all();
+    }
+}
+
+impl Injector for Gate {
+    fn fault_at(&self, site: &str) -> Option<Fault> {
+        if site == self.site {
+            let mut state = self.state.lock().expect("gate lock");
+            if !state.0 {
+                state.0 = true;
+                self.cv.notify_all();
+                let _released = self.cv.wait_while(state, |s| !s.1).expect("gate lock");
+            }
+        }
+        None
+    }
+}
+
+/// A one-worker server whose flows pass through `gate`.
+fn gated_server(gate: &Arc<Gate>) -> Server {
+    Server::start(ServerOptions {
+        workers: 1,
+        queue_depth: 8,
+        fault: Some(gate.clone()),
+        ..ServerOptions::default()
+    })
+    .expect("bind")
+}
+
 #[test]
 fn expired_deadline_is_a_typed_error_naming_the_banked_prefix() {
-    let server = tiny_server(8);
+    let gate = Gate::new("flow.stage.preprocess");
+    let server = gated_server(&gate);
     let mut client = Client::connect(server.addr()).expect("connect");
     let cfg = quick_cfg();
     let blocker = linear_pipeline(3, 4, 1, 900.0);
     let hurried = linear_pipeline(2, 5, 1, 900.0);
 
-    // Occupy the single worker, then submit a job whose 1 ms deadline
-    // is long gone by the time a worker picks it up.
+    // Park the single worker inside the blocker's flow, then submit a
+    // job whose 1 ms deadline is long gone by the time the worker is
+    // released and picks it up.
     client
         .send(&Client::submit_request(&[("blocker", &blocker, &cfg)]))
         .expect("submit blocker");
+    let ack1 = client.recv().expect("ack 1");
+    let blocker_id = acked_ids(&ack1)[0];
+    gate.wait_parked();
     client
         .send(&submit_with("hurried", &hurried, &cfg, Some(1)))
         .expect("submit hurried");
-    let ack1 = client.recv().expect("ack 1");
-    let blocker_id = acked_ids(&ack1)[0];
-    let mut hurried_id = None;
+    // The hurried job's deadline clock starts at admission, before its
+    // ack is sent; the blocker's stage events may arrive first.
+    let hurried_id = loop {
+        let ev = client.recv().expect("event");
+        if ev.get("event").and_then(Json::as_str) == Some("ack") {
+            break acked_ids(&ev)[0];
+        }
+    };
+    std::thread::sleep(Duration::from_millis(2));
+    gate.release();
     let mut blocker_done = None;
-    // The second ack and the blocker's done arrive interleaved with the
-    // hurried job's events; collect both while waiting.
+    // The blocker's done arrives before the hurried job's; collect both.
     let hurried_done = loop {
         let ev = client.recv().expect("event");
-        match ev.get("event").and_then(Json::as_str) {
-            Some("ack") => hurried_id = Some(acked_ids(&ev)[0]),
-            Some("done") => {
-                let job = ev.get("job").and_then(Json::as_f64).map(|f| f as u64);
-                if job == Some(blocker_id) {
-                    blocker_done = Some(ev);
-                } else if job == hurried_id {
-                    break ev;
-                }
+        if ev.get("event").and_then(Json::as_str) == Some("done") {
+            let job = ev.get("job").and_then(Json::as_f64).map(|f| f as u64);
+            if job == Some(blocker_id) {
+                blocker_done = Some(ev);
+            } else if job == Some(hurried_id) {
+                break ev;
             }
-            _ => {}
         }
     };
     assert_eq!(
@@ -178,37 +249,45 @@ fn expired_deadline_is_a_typed_error_naming_the_banked_prefix() {
 
 #[test]
 fn cancel_kills_queued_jobs_and_running_jobs_at_stage_boundaries() {
-    let server = tiny_server(8);
+    // The big job parks at its first stage's fault site until the test
+    // releases it, so it is provably still running while both cancels
+    // land, and the small job behind it provably still queued.
+    let gate = Gate::new("flow.stage.preprocess");
+    let server = gated_server(&gate);
     let mut client = Client::connect(server.addr()).expect("connect");
     let cfg = quick_cfg();
-    // Big enough that its stage pipeline (ILP, retiming) runs long past
-    // the cancel round-trip below.
     let big = linear_pipeline(10, 10, 1, 900.0);
     let small = linear_pipeline(2, 3, 1, 900.0);
+    let cancel = |job: u64| {
+        let mut req = Json::obj();
+        req.set("kind", Json::Str("cancel".into()));
+        req.set("job", Json::Num(job as f64));
+        req
+    };
 
     client
         .send(&Client::submit_request(&[("big", &big, &cfg)]))
         .expect("submit big");
     let big_id = acked_ids(&client.recv().expect("ack"))[0];
+    gate.wait_parked();
     client
         .send(&Client::submit_request(&[("small", &small, &cfg)]))
         .expect("submit small");
 
     // Cancel the queued job: its done is typed `cancelled`, and the
-    // canceller hears which state the cancel hit.
+    // canceller hears which state the cancel hit. Then cancel the
+    // running one, and let it reach its next stage boundary.
     let mut small_id = None;
     let mut cancel_sent = false;
     let mut saw_cancelled_queued = false;
-    let mut big_started = false;
     loop {
         let ev = client.recv().expect("event");
         match ev.get("event").and_then(Json::as_str) {
             Some("ack") => {
                 small_id = Some(acked_ids(&ev)[0]);
-                let mut req = Json::obj();
-                req.set("kind", Json::Str("cancel".into()));
-                req.set("job", Json::Num(acked_ids(&ev)[0] as f64));
-                client.send(&req).expect("cancel queued");
+                client
+                    .send(&cancel(acked_ids(&ev)[0]))
+                    .expect("cancel queued");
                 cancel_sent = true;
             }
             Some("cancelled") => {
@@ -217,20 +296,12 @@ fn cancel_kills_queued_jobs_and_running_jobs_at_stage_boundaries() {
                 if job == small_id {
                     assert_eq!(state, Some("queued"), "{}", ev.to_pretty());
                     saw_cancelled_queued = true;
+                    client.send(&cancel(big_id)).expect("cancel running");
                 } else {
                     assert_eq!(job, Some(big_id));
                     assert_eq!(state, Some("running"), "{}", ev.to_pretty());
+                    gate.release();
                 }
-            }
-            Some("stage")
-                if !big_started && ev.get("job").and_then(Json::as_f64) == Some(big_id as f64) =>
-            {
-                // The big job is provably on a worker: cancel it too.
-                big_started = true;
-                let mut req = Json::obj();
-                req.set("kind", Json::Str("cancel".into()));
-                req.set("job", Json::Num(big_id as f64));
-                client.send(&req).expect("cancel running");
             }
             Some("done") => {
                 let job = ev.get("job").and_then(Json::as_f64).map(|f| f as u64);
@@ -260,10 +331,7 @@ fn cancel_kills_queued_jobs_and_running_jobs_at_stage_boundaries() {
     assert!(saw_cancelled_queued);
 
     // Cancelling an unknown id is answered, not ignored.
-    let mut req = Json::obj();
-    req.set("kind", Json::Str("cancel".into()));
-    req.set("job", Json::Num(99_999.0));
-    client.send(&req).expect("cancel unknown");
+    client.send(&cancel(99_999)).expect("cancel unknown");
     let ev = client.recv().expect("cancelled event");
     assert_eq!(ev.get("event").and_then(Json::as_str), Some("cancelled"));
     assert_eq!(ev.get("state").and_then(Json::as_str), Some("unknown"));

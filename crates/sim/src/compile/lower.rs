@@ -2,10 +2,10 @@
 //!
 //! Four passes, each **trajectory-preserving**: every net keeps its own
 //! output slot, is written exactly once per settle pass, in a
-//! topological order, with the same 3-valued value the packed kernel
-//! would compute — so per-pass values *and* per-net toggle counts are
-//! bit-identical to the scalar/packed kernels (the certification suite
-//! checks both). Only the *computation strategy* changes:
+//! topological order, with the same 3-valued value the scalar
+//! simulator would compute in that lane — so per-pass values *and*
+//! per-net toggle counts are bit-identical to the scalar simulator (the
+//! certification suite checks both). Only the *computation strategy* changes:
 //!
 //! 1. **Normalize** (AIG-style): constant-fold through the fabric
 //!    (3-valued-sound: `AND(x, 0) = 0` and `AND(x, 1) = x` hold for

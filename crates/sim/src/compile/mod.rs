@@ -1,23 +1,24 @@
 //! Compiled simulation backend: fused bytecode VM with multi-word lanes.
 //!
-//! Third backend behind the `Simulator`/`PackedSim` API surface. The
-//! combinational fabric is lowered once (see `lower`) into a fused,
-//! specialized bytecode executed by a threaded-dispatch interpreter
-//! (see `ops`), generic over lane width `W ∈ {1, 2, 4, 8}` machine
-//! words — 64 to [`MAX_STREAMS`] independent stimulus streams per pass
-//! via [`Lanes`]. Values live in a dense slot file ordered
-//! sources-then-levels, which also makes per-level parallel batching
-//! over the work-stealing pool (`triphase-par`) a safe
+//! The fast kernel next to the scalar [`Simulator`](crate::Simulator),
+//! which stays its reference. The combinational fabric is lowered once
+//! (see `lower`) into a fused, specialized bytecode executed by a
+//! threaded-dispatch interpreter (see `ops`), generic over lane width
+//! `W ∈ {1, 2, 4, 8}` machine words — 64 to [`MAX_STREAMS`] independent
+//! stimulus streams per pass via [`Lanes`]. Values live in a dense slot
+//! file ordered sources-then-levels, which also makes per-level parallel
+//! batching over the work-stealing pool (`triphase-par`) a safe
 //! `split_at_mut`: a level only reads slots below its own range.
 //!
 //! Sequencing (reset, settle fixpoint, clock-event rounds, FF capture,
-//! latch transparency, ICG enable latches) is an instruction-exact
-//! mirror of [`PackedSim`](crate::PackedSim) — lane `l` of a compiled
-//! run follows the same trajectory as packed lane `l % 64` of word
-//! `l / 64`, and for one active lane the scalar simulator; values *and*
-//! per-net toggle counts are bit-identical (certified three ways over
-//! the benchmark suite). [`CompiledAny`] erases the width parameter and
-//! picks the narrowest width covering a requested lane count.
+//! latch transparency, ICG enable latches) follows the scalar
+//! simulator's event order, so lane `l` of a compiled run follows the
+//! same trajectory as a scalar run seeded with [`lane_seeds`]`[l]`;
+//! values *and* per-net toggle counts are bit-identical (certified
+//! against the scalar simulator over the benchmark suite). Multi-lane
+//! toggle counts are the per-lane counts summed. [`CompiledAny`] erases
+//! the width parameter and picks the narrowest width covering a
+//! requested lane count.
 
 mod lanes;
 mod lower;
@@ -38,6 +39,9 @@ use triphase_netlist::{CellId, NetId, Netlist, PortDir, PortId};
 
 /// Maximum stimulus streams per pass (lane width `W = 8`).
 pub const MAX_STREAMS: usize = 512;
+
+/// Number of stimulus lanes in one machine word (lane width `W = 1`).
+pub const LANES: usize = 64;
 
 /// Per-level parallel batching engages above this gate count per chunk.
 const PAR_CHUNK: usize = 512;
@@ -109,8 +113,7 @@ pub struct CompiledSim<'a, const W: usize> {
     lanes: usize,
     mask: Mask<W>,
     parallel: bool,
-    // Reused per-pass scratch (the packed kernel reallocates these every
-    // pass; hoisting them is part of the compiled backend's win).
+    // Reused per-pass scratch, allocated once rather than every pass.
     before_ck: Vec<Lanes<W>>,
     clk_snapshot: Vec<Lanes<W>>,
     updates: Vec<(u32, Lanes<W>)>,
@@ -282,7 +285,7 @@ impl<'a, const W: usize> CompiledSim<'a, W> {
 
     /// Reset every lane to the all-zero state with clocks at
     /// end-of-cycle levels and ICG enable latches loaded from the
-    /// settled reset state — the exact twin of the packed/scalar
+    /// settled reset state — the exact twin of the scalar
     /// `reset_zero`.
     pub fn reset_zero(&mut self) {
         self.values.fill(Lanes::ZERO);
@@ -340,8 +343,8 @@ impl<'a, const W: usize> CompiledSim<'a, W> {
     }
 
     /// Switching activity accumulated so far: toggles summed over
-    /// active lanes, `cycles = per-lane cycles × lanes` (the packed
-    /// kernel's convention — identical per lane).
+    /// active lanes, `cycles = per-lane cycles × lanes` (so each lane
+    /// contributes exactly its scalar run's activity).
     pub fn activity(&self) -> Activity {
         let mut net_toggles = vec![0u64; self.nl.net_capacity()];
         for (s, &t) in self.toggles.iter().enumerate() {
@@ -354,7 +357,7 @@ impl<'a, const W: usize> CompiledSim<'a, W> {
     }
 
     /// Advance one full clock cycle for every lane (pending inputs land
-    /// just after the first clock event, as scalar/packed).
+    /// just after the first clock event, as in the scalar simulator).
     pub fn step_cycle(&mut self) {
         self.settle_data();
         for i in 0..self.events.len() {
@@ -394,7 +397,7 @@ impl<'a, const W: usize> CompiledSim<'a, W> {
 
     fn process_clock_event(&mut self, t: f64) {
         // Up to a few rounds in case a gated clock rises as a result of
-        // data settling, exactly as the packed event loop.
+        // data settling, exactly as the scalar event loop.
         for _ in 0..4 {
             for i in 0..self.storage.len() {
                 self.before_ck[i] = self.values[self.storage[i].ck as usize];
@@ -553,7 +556,7 @@ impl<'a, const W: usize> CompiledSim<'a, W> {
     /// Settle combinational logic, transparent latches, and clock-gate
     /// outputs to a fixpoint over all lanes. Returns `true` if any
     /// storage clock net changed in any lane (mid-step gated-clock
-    /// event). Same structure as the packed kernel's `settle_data`.
+    /// event). Same structure as the scalar simulator's settle loop.
     fn settle_data(&mut self) -> bool {
         let mut clock_changed = false;
         for _pass in 0..MAX_SETTLE_PASSES {
@@ -735,17 +738,32 @@ impl<'a> CompiledAny<'a> {
         on_any!(self, s => { let m = s.mask; s.net_value(net).ones(m) })
     }
 
-    /// Switching activity accumulated so far (packed convention).
+    /// Switching activity accumulated so far (summed over lanes).
     pub fn activity(&self) -> Activity {
         on_any!(self, s => s.activity())
     }
 }
 
-/// Compiled twin of [`run_random_packed`](crate::run_random_packed):
-/// drive `lanes` independent pseudo-random streams for `cycles` cycles
-/// each. Lane `l`'s stimulus equals a scalar `run_random` with seed
+/// Per-lane stream seeds: lane 0 keeps `seed` verbatim (so lane 0
+/// reproduces the historical single-stream run exactly); lane `l > 0`
+/// draws an independent seed from `splitmix64(seed + l)`.
+pub fn lane_seeds(seed: u64, lanes: usize) -> Vec<u64> {
+    (0..lanes)
+        .map(|l| {
+            if l == 0 {
+                seed
+            } else {
+                SplitMix64::new(seed.wrapping_add(l as u64)).next_u64()
+            }
+        })
+        .collect()
+}
+
+/// Multi-lane twin of [`run_random`](crate::run_random): drive `lanes`
+/// independent pseudo-random streams for `cycles` cycles each. Lane
+/// `l`'s stimulus equals a scalar `run_random` with seed
 /// `lane_seeds(seed, lanes)[l]` (same per-port draw order), so results
-/// are bit-exact with the scalar and packed kernels lane for lane.
+/// are bit-exact with the scalar simulator lane for lane.
 ///
 /// # Errors
 ///
@@ -759,7 +777,7 @@ pub fn run_random_compiled(
     let inputs = crate::equiv::data_inputs(nl);
     let mut sim = CompiledAny::new(nl, lanes)?;
     sim.reset_zero();
-    let mut streams: Vec<SplitMix64> = crate::packed::lane_seeds(seed, lanes)
+    let mut streams: Vec<SplitMix64> = lane_seeds(seed, lanes)
         .into_iter()
         .map(SplitMix64::new)
         .collect();
@@ -792,11 +810,24 @@ pub fn collect_activity_compiled(nl: &Netlist, seed: u64, cycles: u64) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_random_packed, PackedSim, Simulator};
+    use crate::{run_random, Simulator};
     use triphase_cells::CellKind;
     use triphase_netlist::{Builder, ClockSpec, Word};
 
-    /// 3-bit counter (same as the packed kernel tests).
+    /// Toggle vector of `lanes` scalar runs, one per lane seed, summed:
+    /// the multi-lane kernel's activity must equal it exactly.
+    fn scalar_lane_sum(nl: &Netlist, seed: u64, cycles: u64, lanes: usize) -> Vec<u64> {
+        let mut summed = vec![0u64; nl.net_capacity()];
+        for ls in lane_seeds(seed, lanes) {
+            let scalar = run_random(nl, ls, cycles).unwrap();
+            for (total, t) in summed.iter_mut().zip(&scalar.activity().net_toggles) {
+                *total += t;
+            }
+        }
+        summed
+    }
+
+    /// 3-bit counter.
     fn counter() -> Netlist {
         let mut nl = Netlist::new("cnt");
         let mut b = Builder::new(&mut nl, "u");
@@ -863,20 +894,20 @@ mod tests {
     }
 
     #[test]
-    fn matches_packed_values_and_toggles_at_64_lanes() {
+    fn matches_scalar_values_and_toggles_at_64_lanes() {
         let nl = counter();
         let seed = 42;
-        let packed = run_random_packed(&nl, seed, 20, 64).unwrap();
         let compiled = run_random_compiled(&nl, seed, 20, 64).unwrap();
-        let pa = packed.activity();
         let ca = compiled.activity();
-        assert_eq!(ca.cycles, pa.cycles);
-        assert_eq!(ca.net_toggles, pa.net_toggles);
-        for (net, _) in nl.nets() {
-            for lane in [0usize, 17, 63] {
+        assert_eq!(ca.cycles, 20 * 64);
+        assert_eq!(ca.net_toggles, scalar_lane_sum(&nl, seed, 20, 64));
+        let seeds = lane_seeds(seed, 64);
+        for lane in [0usize, 17, 63] {
+            let scalar = run_random(&nl, seeds[lane], 20).unwrap();
+            for (net, _) in nl.nets() {
                 assert_eq!(
                     compiled.net_value_lane(net, lane),
-                    packed.net_value(net).get(lane),
+                    scalar.net_value(net),
                     "net {net:?} lane {lane}"
                 );
             }
@@ -892,12 +923,12 @@ mod tests {
         let compiled = run_random_compiled(&nl, seed, cycles, lanes).unwrap();
         assert_eq!(compiled.width(), 4);
         let q1 = nl.find_port("q_1").unwrap();
-        for (l, &ls) in crate::packed::lane_seeds(seed, lanes)
+        for (l, &ls) in lane_seeds(seed, lanes)
             .iter()
             .enumerate()
             .filter(|(l, _)| [0, 64, 129].contains(l))
         {
-            let scalar = crate::equiv::run_random(&nl, ls, cycles).unwrap();
+            let scalar = run_random(&nl, ls, cycles).unwrap();
             assert_eq!(compiled.output_lane(q1, l), scalar.output(q1), "lane {l}");
         }
     }
@@ -910,7 +941,7 @@ mod tests {
             sim.set_parallel(parallel);
             sim.reset_zero();
             let inputs = crate::equiv::data_inputs(&nl);
-            let mut streams: Vec<SplitMix64> = crate::packed::lane_seeds(11, 96)
+            let mut streams: Vec<SplitMix64> = lane_seeds(11, 96)
                 .into_iter()
                 .map(SplitMix64::new)
                 .collect();
@@ -983,13 +1014,11 @@ mod tests {
             "buf chain should collapse: {st:?}"
         );
 
-        // And the optimized program still matches packed bit-for-bit.
-        let packed = run_random_packed(&nl, 3, 24, 8).unwrap();
+        // And the optimized program still matches scalar bit-for-bit.
         let compiled = run_random_compiled(&nl, 3, 24, 8).unwrap();
         assert_eq!(
             compiled.activity().net_toggles,
-            packed.activity().net_toggles
+            scalar_lane_sum(&nl, 3, 24, 8)
         );
-        let _ = PackedSim::new(&nl, 8).unwrap();
     }
 }

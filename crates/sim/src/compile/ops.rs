@@ -157,8 +157,8 @@ fn dirty<const W: usize>(ctx: &ExecCtx<'_, W>, s: u32) -> bool {
 }
 
 /// Write `v` to `out`, counting toggles on known→known differing lanes
-/// — the exact packed-kernel `set_net` rule, gated on inequality like
-/// the packed settle loop (equal values imply zero toggles). A changed
+/// — the scalar simulator's toggle rule applied lane-wise, gated on
+/// inequality (equal values imply zero toggles). A changed
 /// slot is marked dirty so downstream instructions re-evaluate.
 #[inline(always)]
 fn write<const W: usize>(ctx: &mut ExecCtx<'_, W>, out: u32, v: Lanes<W>) {

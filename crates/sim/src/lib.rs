@@ -6,7 +6,11 @@
 //! methodology needs:
 //!
 //! - [`Simulator`]: per-cycle stepping with per-net toggle counting
-//!   ([`Activity`]), used for power estimation and DDCG statistics;
+//!   ([`Activity`]), used for power estimation and DDCG statistics, and
+//!   the reference every fast-kernel result is certified against;
+//! - [`CompiledSim`] / [`CompiledAny`]: the fast kernel, a fused
+//!   bytecode VM over 64 to [`MAX_STREAMS`] stimulus lanes per pass,
+//!   bit-exact with [`Simulator`] lane for lane;
 //! - [`equiv_stream`]: the paper's validation ("stream inputs into the FF
 //!   and latch designs, compare output streams");
 //! - [`run_random`]: pseudo-random workload driver.
@@ -39,13 +43,12 @@ mod compile;
 mod equiv;
 mod error;
 mod logic;
-mod packed;
 mod sim;
 mod vcd;
 
 pub use compile::{
-    collect_activity_compiled, run_random_compiled, CompiledAny, CompiledSim, Lanes, LowerStats,
-    Mask, MAX_STREAMS,
+    collect_activity_compiled, lane_seeds, run_random_compiled, CompiledAny, CompiledSim, Lanes,
+    LowerStats, Mask, LANES, MAX_STREAMS,
 };
 pub use equiv::{
     data_inputs, data_outputs, equiv_stream, equiv_stream_warmup, replay_vectors, run_random,
@@ -53,8 +56,5 @@ pub use equiv::{
 };
 pub use error::{Error, Result};
 pub use logic::{eval_kind, Logic};
-pub use packed::{
-    collect_activity_packed, lane_seeds, run_random_packed, PackedLogic, PackedSim, LANES,
-};
 pub use sim::{Activity, Simulator};
 pub use vcd::VcdWriter;
